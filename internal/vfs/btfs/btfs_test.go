@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/kernel"
+	"repro/internal/mem"
 	"repro/internal/vfs"
 )
 
@@ -110,6 +111,18 @@ func TestReaddirSortedAndScoped(t *testing.T) {
 	fs := newFS()
 	run(t, func(p *kernel.Process) error {
 		d1, _ := fs.Mkdir(p, fs.Root(), "a")
+		// A child whose inode is d1+1, with data blocks: its block
+		// items "<d1+1>#<blk>" sort right after d1's entries.
+		log, err := fs.Create(p, d1, "log")
+		if err != nil {
+			return err
+		}
+		if log != d1+1 {
+			t.Fatalf("log inode = %d, want %d", log, d1+1)
+		}
+		if _, err := fs.Write(p, log, 0, make([]byte, 3*mem.PageSize)); err != nil {
+			return err
+		}
 		d2, _ := fs.Mkdir(p, fs.Root(), "b")
 		for i := 0; i < 10; i++ {
 			if _, err := fs.Create(p, d1, fmt.Sprintf("f%02d", i)); err != nil {
@@ -123,12 +136,17 @@ func TestReaddirSortedAndScoped(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if len(ents) != 10 {
-			t.Errorf("readdir(a) = %d entries", len(ents))
+		var want []string
+		for i := 0; i < 10; i++ {
+			want = append(want, fmt.Sprintf("f%02d", i))
+		}
+		want = append(want, "log")
+		if len(ents) != len(want) {
+			t.Errorf("readdir(a) = %d entries %v, want %v", len(ents), ents, want)
 		}
 		for i, e := range ents {
-			if e.Name != fmt.Sprintf("f%02d", i) {
-				t.Errorf("ents[%d] = %q", i, e.Name)
+			if i < len(want) && e.Name != want[i] {
+				t.Errorf("ents[%d] = %q, want %q", i, e.Name, want[i])
 			}
 		}
 		root, err := fs.Readdir(p, fs.Root())

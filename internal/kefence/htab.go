@@ -46,23 +46,28 @@ func (h *htab) put(k uint64, v *allocation) {
 	if h.n*2 >= len(h.keys) {
 		h.grow()
 	}
-	i := h.hash(k)
-	for {
-		switch h.state[i] {
-		case 1:
-			if h.keys[i] == k {
-				h.vals[i] = v
-				return
+	// k may sit further along its chain, past a tombstone: look there
+	// before reusing the first free slot, or k would be stored twice.
+	i, slot := h.hash(k), -1
+	for probes := 0; probes < len(h.keys) && h.state[i] != 0; probes++ {
+		switch {
+		case h.state[i] == 2:
+			if slot < 0 {
+				slot = i
 			}
-		default:
-			h.keys[i] = k
+		case h.keys[i] == k:
 			h.vals[i] = v
-			h.state[i] = 1
-			h.n++
 			return
 		}
 		i = (i + 1) & (len(h.keys) - 1)
 	}
+	if slot < 0 {
+		slot = i
+	}
+	h.keys[slot] = k
+	h.vals[slot] = v
+	h.state[slot] = 1
+	h.n++
 }
 
 func (h *htab) get(k uint64) (*allocation, bool) {

@@ -311,7 +311,7 @@ func TestHtabBasics(t *testing.T) {
 }
 
 func TestHtabAgainstMapModel(t *testing.T) {
-	if err := quick.Check(func(ops []uint16) bool {
+	prop := func(ops []uint16) bool {
 		h := newHtab()
 		model := map[uint64]*allocation{}
 		rec := &allocation{}
@@ -340,7 +340,15 @@ func TestHtabAgainstMapModel(t *testing.T) {
 			}
 		}
 		return true
-	}, &quick.Config{MaxCount: 200}); err != nil {
+	}
+	// Op 27 puts key 122, op 28 deletes key 31 and leaves a tombstone
+	// ahead of it on 122's probe chain, and op 30 puts 122 again: put
+	// must update the entry past the tombstone, not store a second one.
+	regress := []uint16{0x7bbb, 0x9854, 0x860c, 0x5a76, 0x9682, 0x51fe, 0x9294, 0xc7e, 0x45ef, 0x6474, 0xd353, 0x7f36, 0xc908, 0x6298, 0x9cde, 0x3c4f, 0xfd16, 0x8c9a, 0x3fa1, 0x909b, 0x4b95, 0xae09, 0xddce, 0x9384, 0xaa1f, 0xdd12, 0x1188, 0x7dfa, 0x5a1f, 0x1bd5, 0x317a}
+	if !prop(regress) {
+		t.Fatalf("failed on %#v", regress)
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -164,7 +164,7 @@ int f(void) {
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Exec(pr, raw, shm); err != nil {
+			if _, err := e.ExecRing(pr, raw, shm); err != nil {
 				return err
 			}
 		}

@@ -58,7 +58,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		result, err = e.Exec(pr, lang.Encode(comp), shm)
+		result, err = e.ExecRing(pr, lang.Encode(comp), shm)
 		return err
 	})
 	if err := s.Run(); err != nil {

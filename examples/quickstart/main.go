@@ -94,7 +94,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		copied, err := engine.Exec(pr, lang.Encode(comp), shm)
+		copied, err := engine.ExecRing(pr, lang.Encode(comp), shm)
 		if err != nil {
 			return err
 		}

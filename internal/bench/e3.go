@@ -48,7 +48,7 @@ func E3(perf bool) (*Table, error) {
 				if err != nil {
 					return err
 				}
-				_, err = e.Exec(pr, raw, shm)
+				_, err = e.ExecRing(pr, raw, shm)
 				return err
 			})
 		if err != nil {

@@ -184,7 +184,7 @@ type Repro struct {
 // NewRepro stamps a document header for the current host.
 func NewRepro(workers int) *Repro {
 	return &Repro{
-		Schema:      "bench-repro/v1",
+		Schema: "bench-repro/v1",
 		//klint:allow determinism the repro header records when the run happened; benchdiff ignores header fields
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
 		GitCommit:   gitCommit(),

@@ -160,18 +160,6 @@ func (s *Shm) Read(off, n int) ([]byte, error) {
 // ErrBadCompound wraps rejection errors.
 var ErrBadCompound = errors.New("cosy: compound rejected")
 
-// Exec runs an encoded compound on behalf of pr with the given shared
-// buffer. The entire execution costs one boundary crossing.
-//
-// Deprecated: Exec is the legacy per-compound entry point; it now
-// delegates to ExecRing, which stages the compound as a kring SQE and
-// drains it through ring_enter. New code should use ExecRing (or push
-// NrCosy SQEs onto its own ring) so multiple compounds can share one
-// crossing.
-func (e *Engine) Exec(pr *sys.Proc, encoded []byte, shm *Shm) (int64, error) {
-	return e.ExecRing(pr, encoded, shm)
-}
-
 // Ring submission geometry for ExecRing's per-process ring.
 const (
 	ringEntries = 8

@@ -47,7 +47,7 @@ func TestComputeOnlyCompound(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		got, err = e.Exec(pr, buf, shm)
+		got, err = e.ExecRing(pr, buf, shm)
 		return err
 	})
 	if err != nil {
@@ -78,7 +78,7 @@ func TestCompoundLoop(t *testing.T) {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
 		var e2 error
-		got, e2 = e.Exec(pr, buf, shm)
+		got, e2 = e.ExecRing(pr, buf, shm)
 		return e2
 	})
 	if err != nil || got != 4950 {
@@ -130,7 +130,7 @@ func TestCompoundSyscallsOpenWriteReadClose(t *testing.T) {
 			return err
 		}
 		before := k.TotalCalls()
-		got, err = e.Exec(pr, buf, shm)
+		got, err = e.ExecRing(pr, buf, shm)
 		if err != nil {
 			return err
 		}
@@ -182,7 +182,7 @@ int bulk(void) {
 		if err != nil {
 			return err
 		}
-		got, err = e.Exec(pr, lang.Encode(comp), shm)
+		got, err = e.ExecRing(pr, lang.Encode(comp), shm)
 		if err != nil {
 			return err
 		}
@@ -249,7 +249,7 @@ int scan(void) {
 		if err != nil {
 			return err
 		}
-		got, err = e.Exec(pr, lang.Encode(comp), shm)
+		got, err = e.ExecRing(pr, lang.Encode(comp), shm)
 		return err
 	})
 	if err != nil {
@@ -274,7 +274,7 @@ func TestWatchdogKillsInfiniteLoop(t *testing.T) {
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
-		_, err := e.Exec(pr, buf, shm)
+		_, err := e.ExecRing(pr, buf, shm)
 		return err
 	})
 	if !errors.Is(err, kernel.ErrKilled) {
@@ -299,7 +299,7 @@ func TestSegmentationBlocksOutOfBoundsAccess(t *testing.T) {
 	err = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
-		_, err := e.Exec(pr, buf, shm)
+		_, err := e.ExecRing(pr, buf, shm)
 		var pf *seg.ProtFault
 		if !errors.As(err, &pf) {
 			t.Errorf("err = %v, want protection fault", err)
@@ -327,7 +327,7 @@ func TestSegmentationBlocksOOBRead(t *testing.T) {
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
-		if _, err := e.Exec(pr, buf, shm); err == nil {
+		if _, err := e.ExecRing(pr, buf, shm); err == nil {
 			t.Error("negative-offset load succeeded")
 		}
 		return nil
@@ -350,7 +350,7 @@ func TestSyscallBufferBoundsChecked(t *testing.T) {
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
-		if _, err := e.Exec(pr, buf, shm); err == nil {
+		if _, err := e.ExecRing(pr, buf, shm); err == nil {
 			t.Error("oversized read into shm succeeded")
 		}
 		return nil
@@ -382,7 +382,7 @@ func TestIsolatedModeChargesSegEntries(t *testing.T) {
 			pr := sys.NewProc(k, p)
 			shm, _ := e.NewShm(64)
 			_, s0, _ := p.Times()
-			if _, err := e.Exec(pr, mkBuf(), shm); err != nil {
+			if _, err := e.ExecRing(pr, mkBuf(), shm); err != nil {
 				return err
 			}
 			_, s1, _ := p.Times()
@@ -410,7 +410,7 @@ func TestHandcraftedCompoundRejected(t *testing.T) {
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
-		if _, err := e.Exec(pr, []byte{1, 2, 3, 4, 5}, shm); !errors.Is(err, ErrBadCompound) {
+		if _, err := e.ExecRing(pr, []byte{1, 2, 3, 4, 5}, shm); !errors.Is(err, ErrBadCompound) {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -429,7 +429,7 @@ func TestForbiddenSyscallRejected(t *testing.T) {
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(64)
-		if _, err := e.Exec(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
+		if _, err := e.ExecRing(pr, buf, shm); !errors.Is(err, ErrBadCompound) {
 			t.Errorf("err = %v", err)
 		}
 		return nil
@@ -452,7 +452,7 @@ func TestStatThroughCompound(t *testing.T) {
 	_ = run(t, m, func(p *kernel.Process) error {
 		pr := sys.NewProc(k, p)
 		shm, _ := e.NewShm(256)
-		if _, err := e.Exec(pr, buf, shm); err != nil {
+		if _, err := e.ExecRing(pr, buf, shm); err != nil {
 			return err
 		}
 		raw, err := shm.Read(statOff, vfs.StatSize)
@@ -552,7 +552,7 @@ int scan(void) {
 			return err
 		}
 		u0, s0, _ := p.Times()
-		total, err = e.Exec(pr, lang.Encode(comp), shm)
+		total, err = e.ExecRing(pr, lang.Encode(comp), shm)
 		u1, s1, _ := p.Times()
 		cosyTime = int64(u1 - u0 + s1 - s0)
 		return err

@@ -10,10 +10,10 @@ import (
 	"repro/internal/sys"
 )
 
-// TestExecMatchesExplicitRingSubmission is the delegation gate: the
-// deprecated Exec entry point and a hand-rolled NrCosy ring
-// submission must burn bit-identical simulated cycles and produce
-// identical results, because Exec *is* a ring submission now.
+// TestExecMatchesExplicitRingSubmission is the ring-equivalence gate:
+// ExecRing and a hand-rolled NrCosy ring submission must burn
+// bit-identical simulated cycles and produce identical results,
+// because ExecRing is nothing but that submission.
 func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 	b := lib.New()
 	pathOff := b.String("/diff.bin")
@@ -74,7 +74,7 @@ func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 					got = cqe.Res
 				} else {
 					var err error
-					got, err = e.Exec(pr, buf, shm)
+					got, err = e.ExecRing(pr, buf, shm)
 					if err != nil {
 						return err
 					}
@@ -92,7 +92,7 @@ func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 	viaExec, execCycles := runOnce(false)
 	viaRing, ringCycles := runOnce(true)
 	if fmt.Sprint(viaExec) != fmt.Sprint(viaRing) {
-		t.Errorf("results differ: Exec %v, explicit ring %v", viaExec, viaRing)
+		t.Errorf("results differ: ExecRing %v, explicit ring %v", viaExec, viaRing)
 	}
 	for _, r := range viaExec {
 		if r != 8 {
@@ -100,7 +100,7 @@ func TestExecMatchesExplicitRingSubmission(t *testing.T) {
 		}
 	}
 	if execCycles != ringCycles {
-		t.Errorf("cycles differ: Exec %d, explicit ring %d (delegation must be free)",
+		t.Errorf("cycles differ: ExecRing %d, explicit ring %d (ExecRing must add nothing)",
 			execCycles, ringCycles)
 	}
 }
@@ -124,7 +124,7 @@ func TestExecRingReusesRing(t *testing.T) {
 			return err
 		}
 		for i := 0; i < 3; i++ {
-			if got, err := e.Exec(pr, buf, shm); err != nil || got != 42 {
+			if got, err := e.ExecRing(pr, buf, shm); err != nil || got != 42 {
 				return fmt.Errorf("round %d: %d, %v", i, got, err)
 			}
 		}
@@ -139,13 +139,13 @@ func TestExecRingReusesRing(t *testing.T) {
 		// ignores padding past the encoded program).
 		big := make([]byte, ringDataMin+1)
 		copy(big, buf)
-		if got, err := e.Exec(pr, big, shm); err != nil || got != 42 {
+		if got, err := e.ExecRing(pr, big, shm); err != nil || got != 42 {
 			return fmt.Errorf("oversized compound: %d, %v", got, err)
 		}
 		if n := k.Calls[sys.NrRingSetup]; n != 2 {
 			return fmt.Errorf("ring_setup called %d times after regrow", n)
 		}
-		if got, err := e.Exec(pr, buf, shm); err != nil || got != 42 {
+		if got, err := e.ExecRing(pr, buf, shm); err != nil || got != 42 {
 			return fmt.Errorf("post-regrow compound: %d, %v", got, err)
 		}
 		return nil

@@ -8,7 +8,6 @@
 package btfs
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/kernel"
@@ -113,7 +112,34 @@ func (fs *FS) IO() *vfs.IOModel { return fs.io }
 // key builds the tree key for a directory entry. Keys order first by
 // directory, then by name, so one directory's entries are contiguous.
 func key(dir vfs.NodeID, name string) string {
-	return fmt.Sprintf("%016x/%s", uint64(dir), name)
+	var buf [64]byte
+	return string(append(appendNode(buf[:0], dir, '/'), name...))
+}
+
+// appendNode appends the prefix every tree key of node id starts
+// with: id as 16 hex digits, then sep ('/' before an entry name, '#'
+// before a block number).
+func appendNode(dst []byte, id vfs.NodeID, sep byte) []byte {
+	return append(appendHex(dst, uint64(id), 16), sep)
+}
+
+// appendBlockKey appends the tree key of node id's data block b,
+// "<id>#<b in at least 8 hex digits>". Callers build it in a stack
+// buffer, so a lookup that finds the block allocates nothing.
+func appendBlockKey(dst []byte, id vfs.NodeID, b int64) []byte {
+	return appendHex(appendNode(dst, id, '#'), uint64(b), 8)
+}
+
+// appendHex appends v in lower-case hex, zero-padded to at least
+// width digits (fmt's %0<width>x).
+func appendHex(dst []byte, v uint64, width int) []byte {
+	for width < 16 && v>>(4*width) != 0 {
+		width++
+	}
+	for shift := 4 * (width - 1); shift >= 0; shift -= 4 {
+		dst = append(dst, "0123456789abcdef"[v>>shift&15])
+	}
+	return dst
 }
 
 // settle charges module CPU for the tree operations performed since
@@ -299,7 +325,7 @@ func (fs *FS) Readdir(p *kernel.Process, dir vfs.NodeID) ([]vfs.DirEnt, error) {
 	// items sort before key(dir+1, ""), so that bound would list them.
 	prefix := key(dir, "")
 	var ents []vfs.DirEnt
-	fs.tree.Ascend(prefix, fmt.Sprintf("%016x0", uint64(dir)), func(k string, v uint64) bool {
+	fs.tree.Ascend(prefix, string(appendNode(nil, dir, '0')), func(k string, v uint64) bool {
 		name := k[len(prefix):]
 		id := vfs.NodeID(v)
 		t := vfs.TypeReg
@@ -328,10 +354,11 @@ func (fs *FS) Read(p *kernel.Process, id vfs.NodeID, off int64, buf []byte) (int
 		return 0, nil
 	}
 	count := n.data.ReadAt(buf, off)
+	var kb [32]byte
 	for b := off / mem.PageSize; b <= (off+int64(count)-1)/mem.PageSize; b++ {
 		// Locate the block's item in the tree, then read it. The byte
 		// copy itself is generic kernel code.
-		fs.tree.Get(fmt.Sprintf("%016x#%08x", uint64(id), uint64(b)))
+		fs.tree.Get(string(appendBlockKey(kb[:0], id, b)))
 		fs.io.ReadBlock(p, vfs.BlockKey{Node: id, Block: b})
 	}
 	p.Charge(sim.Cycles(count) * fs.CopyByte)
@@ -357,13 +384,14 @@ func (fs *FS) Write(p *kernel.Process, id vfs.NodeID, off int64, data []byte) (i
 	n.attr.Size = n.data.Len()
 	n.attr.Mtime = p.M.Clock.Now()
 	journaled := false
+	var kb [32]byte
 	for b := off / mem.PageSize; b <= (end-1)/mem.PageSize && len(data) > 0; b++ {
 		// Every data block is an item in the tree: existing blocks
 		// are located, new blocks allocated and inserted (and the
 		// allocation journaled).
-		bkey := fmt.Sprintf("%016x#%08x", uint64(id), uint64(b))
-		if _, ok := fs.tree.Get(bkey); !ok {
-			fs.tree.Put(bkey, uint64(b))
+		bkey := appendBlockKey(kb[:0], id, b)
+		if _, ok := fs.tree.Get(string(bkey)); !ok {
+			fs.tree.Put(string(bkey), uint64(b))
 			n.mapped++
 			if !journaled {
 				fs.journal(p)

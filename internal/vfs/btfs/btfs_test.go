@@ -323,3 +323,23 @@ func TestLargeDirectoryScales(t *testing.T) {
 		return nil
 	})
 }
+
+// TestKeysMatchFormat pins the tree key encoding to the fmt formats
+// it replaced, so existing key order (and with it every simulated
+// cycle the tree charges) is unchanged.
+func TestKeysMatchFormat(t *testing.T) {
+	for _, id := range []vfs.NodeID{0, 1, 255, 256, 0xabcdef, 1<<64 - 1} {
+		if got, want := key(id, "name"), fmt.Sprintf("%016x/%s", uint64(id), "name"); got != want {
+			t.Errorf("key(%d) = %q, want %q", id, got, want)
+		}
+		if got, want := string(appendNode(nil, id, '0')), fmt.Sprintf("%016x0", uint64(id)); got != want {
+			t.Errorf("bound(%d) = %q, want %q", id, got, want)
+		}
+		for _, b := range []int64{0, 7, 0x1234, 0xffffffff, 1 << 32, 1<<36 + 5, -1} {
+			got := string(appendBlockKey(nil, id, b))
+			if want := fmt.Sprintf("%016x#%08x", uint64(id), uint64(b)); got != want {
+				t.Errorf("block key(%d, %d) = %q, want %q", id, b, got, want)
+			}
+		}
+	}
+}

@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"fmt"
-
 	"repro/internal/cosy/kext"
 	"repro/internal/cosy/lang"
 	"repro/internal/cosy/lib"
@@ -137,15 +135,7 @@ func SeqScanCosy(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	c, err := lang.Decode(raw)
-	if err != nil {
-		return 0, err
-	}
-	shm, err := e.NewShm(c.ShmSize)
-	if err != nil {
-		return 0, err
-	}
-	return e.Exec(pr, raw, shm)
+	return cosyRun(pr, e, raw, "", nil)
 }
 
 // RandScanUser probes random records: lseek + read per lookup. Every
@@ -184,43 +174,12 @@ func RandScanUser(pr *sys.Proc, cfg DBConfig) (int64, error) {
 	return total, pr.Close(fd)
 }
 
-// randScanCompound builds the Cosy random scan: the record sequence
-// comes from an in-compound linear congruential generator, so the
-// probe loop never leaves the kernel.
-func randScanCompound(cfg DBConfig) ([]byte, error) {
-	b := lib.New()
-	pathOff := b.String(cfg.Path)
-	recOff := b.Alloc(cfg.RecSize)
-	fd := b.Sys(uint16(sys.NrOpen), b.Const(int64(pathOff)), b.Const(0))
-	total := b.Const(0)
-	x := b.Const(int64(cfg.Seed%1_000_003 + 1))
-	a := b.Const(1103515245)
-	c := b.Const(12345)
-	m := b.Const(1 << 31)
-	nrec := b.Const(int64(cfg.Records))
-	rsz := b.Const(int64(cfg.RecSize))
-
-	b.CountedLoop(int64(cfg.Lookups), func(i lang.Reg) {
-		ax := b.Bin("*", a, x)
-		axc := b.Bin("+", ax, c)
-		b.BinInto(x, "%", axc, m)
-		rec := b.Bin("%", x, nrec)
-		off := b.Bin("*", rec, rsz)
-		b.Sys(uint16(sys.NrLseek), fd, off, b.Const(int64(sys.SeekSet)))
-		n := b.Sys(uint16(sys.NrRead), fd, b.Const(int64(recOff)), rsz)
-		b.BinInto(total, "+", total, n)
-		hdr := b.Load(8, b.Const(int64(recOff)))
-		b.Bin("&", hdr, hdr)
-	})
-	b.Sys(uint16(sys.NrClose), fd)
-	return b.Build(total)
-}
-
-// randScanBatchCompound builds one batch of the Cosy random scan:
-// count LCG-driven probes starting from generator state x0. The host
-// replicates the LCG across batches so the full probe sequence is
-// identical to the single-compound RandScanCosy and to RandScanUser's
-// access pattern shape.
+// randScanBatchCompound builds the Cosy random scan, or one batch of
+// it: count probes whose record sequence comes from an in-compound
+// linear congruential generator starting at state x0, so the probe
+// loop never leaves the kernel. The host replicates the LCG across
+// batches, so the batched probe sequence is identical to the
+// single-compound RandScanCosy's.
 func randScanBatchCompound(cfg DBConfig, x0 int64, count int) ([]byte, error) {
 	b := lib.New()
 	pathOff := b.String(cfg.Path)
@@ -254,7 +213,7 @@ func randScanBatchCompound(cfg DBConfig, x0 int64, count int) ([]byte, error) {
 // RandBatch lookups, each a traced request, so its per-request
 // latency distribution is directly comparable to RandScanUser's.
 func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
-	x := int64(cfg.Seed%1_000_003 + 1)
+	x := randScanSeed(cfg)
 	var total int64
 	for start := 0; start < cfg.Lookups; start += RandBatch {
 		count := RandBatch
@@ -265,17 +224,7 @@ func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, err
 		if err != nil {
 			return 0, err
 		}
-		c, err := lang.Decode(raw)
-		if err != nil {
-			return 0, err
-		}
-		shm, err := e.NewShm(c.ShmSize)
-		if err != nil {
-			return 0, err
-		}
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpRandScanBatch)
-		n, err := e.Exec(pr, raw, shm)
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		n, err := cosyRun(pr, e, raw, OpRandScanBatch, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -290,22 +239,12 @@ func RandScanCosyBatched(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, err
 
 // RandScanCosy runs the random scan as a compound.
 func RandScanCosy(pr *sys.Proc, e *kext.Engine, cfg DBConfig) (int64, error) {
-	raw, err := randScanCompound(cfg)
+	raw, err := randScanBatchCompound(cfg, randScanSeed(cfg), cfg.Lookups)
 	if err != nil {
 		return 0, err
 	}
-	c, err := lang.Decode(raw)
-	if err != nil {
-		return 0, err
-	}
-	shm, err := e.NewShm(c.ShmSize)
-	if err != nil {
-		return 0, err
-	}
-	return e.Exec(pr, raw, shm)
+	return cosyRun(pr, e, raw, "", nil)
 }
 
-// Sanity helper shared by tests.
-func dbSize(cfg DBConfig) int64 { return int64(cfg.Records) * int64(cfg.RecSize) }
-
-var _ = fmt.Sprintf
+// randScanSeed is the in-compound generator's initial state.
+func randScanSeed(cfg DBConfig) int64 { return int64(cfg.Seed%1_000_003 + 1) }

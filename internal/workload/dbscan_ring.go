@@ -21,18 +21,8 @@ func SeqScanRing(pr *sys.Proc, cfg DBConfig, batch int) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if batch < 1 {
-		batch = 1
-	}
-	entries := nextPow2(batch)
-	if entries > kring.MaxEntries {
-		entries = kring.MaxEntries
-	}
-	batchBytes := batch * cfg.RecSize
-	dataBytes := batchBytes
-	if dataBytes > sys.MaxRingData {
-		dataBytes = sys.MaxRingData
-	}
+	batch = max(batch, 1)
+	entries, dataBytes := ringSize(batch, 1, batch*cfg.RecSize)
 	windows := dataBytes / cfg.RecSize
 	if windows < 1 {
 		return 0, fmt.Errorf("dbscan ring: record size %d exceeds ring data ceiling", cfg.RecSize)
@@ -52,26 +42,15 @@ func SeqScanRing(pr *sys.Proc, cfg DBConfig, batch int) (int64, error) {
 				return 0, err
 			}
 		}
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpSeqScanRing)
-		n, err := h.Enter()
-		pr.K.Ktrace.EndOp(pr.P.PID)
-		if err != nil {
-			return 0, err
-		}
-		for i := int64(0); i < n; i++ {
-			cqe, herr, err := h.Pop()
-			if err != nil {
-				return 0, err
-			}
-			if herr != nil {
-				return 0, herr
-			}
+		if _, err := ringEnter(pr, h, OpSeqScanRing, func(cqe kring.CQE) {
 			if cqe.Res == 0 {
 				eof = true
-				continue
+				return
 			}
 			pr.P.ChargeUser(cfg.ProcessCPU)
 			total += cqe.Res
+		}); err != nil {
+			return 0, err
 		}
 	}
 	if err := h.Close(); err != nil {
@@ -140,27 +119,17 @@ func SeqScanAnycall(pr *sys.Proc, cfg DBConfig, ext int) (int64, error) {
 
 	var total int64
 	for {
-		pr.K.Ktrace.BeginOp(pr.P.PID, OpSeqScanRing)
-		n, err := h.Enter()
-		pr.K.Ktrace.EndOp(pr.P.PID)
+		n, err := ringEnter(pr, h, OpSeqScanRing, func(cqe kring.CQE) {
+			if cqe.UserTag == 1 && cqe.Res > 0 {
+				pr.P.ChargeUser(cfg.ProcessCPU)
+				total += cqe.Res
+			}
+		})
 		if err != nil {
 			return 0, err
 		}
 		if n == 0 {
 			break
-		}
-		for i := int64(0); i < n; i++ {
-			cqe, herr, err := h.Pop()
-			if err != nil {
-				return 0, err
-			}
-			if herr != nil {
-				return 0, herr
-			}
-			if cqe.UserTag == 1 && cqe.Res > 0 {
-				pr.P.ChargeUser(cfg.ProcessCPU)
-				total += cqe.Res
-			}
 		}
 	}
 	if err := h.Close(); err != nil {

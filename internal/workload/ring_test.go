@@ -4,24 +4,25 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/cosy/kext"
 	"repro/internal/kgcc"
 	"repro/internal/sys"
 )
 
-// TestPostMarkRingMatchesClassic is the data-plane equivalence gate:
-// the ring variant replays the identical RNG-driven transaction mix,
-// so its PostMarkStats must be bit-identical to the classic path —
-// while spending far fewer boundary crossings.
+// TestPostMarkRingMatchesClassic is the submitter equivalence gate:
+// trap, Cosy and ring submitters replay the identical RNG-driven
+// transaction mix, so their PostMarkStats must be identical, while
+// the batched ring spends far fewer boundary crossings.
 func TestPostMarkRingMatchesClassic(t *testing.T) {
 	cfg := DefaultPostMark()
 	cfg.InitialFiles, cfg.Transactions = 40, 150
 
-	classic := func() (PostMarkStats, int64) {
+	run := func(fn func(s *core.System, pr *sys.Proc) (PostMarkStats, error)) (PostMarkStats, int64) {
 		s := newSys(t, core.Options{})
 		var st PostMarkStats
 		s.Spawn("pm", func(pr *sys.Proc) error {
 			var err error
-			st, err = PostMark(pr, cfg)
+			st, err = fn(s, pr)
 			return err
 		})
 		if err := s.Run(); err != nil {
@@ -29,29 +30,32 @@ func TestPostMarkRingMatchesClassic(t *testing.T) {
 		}
 		return st, s.K.TotalCalls()
 	}
-	ringed := func(batch int) (PostMarkStats, int64) {
-		s := newSys(t, core.Options{})
-		var st PostMarkStats
-		s.Spawn("pmring", func(pr *sys.Proc) error {
-			var err error
-			st, err = PostMarkRing(pr, cfg, batch)
-			return err
-		})
-		if err := s.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return st, s.K.TotalCalls()
+	cst, ccalls := run(func(_ *core.System, pr *sys.Proc) (PostMarkStats, error) {
+		return PostMark(pr, cfg)
+	})
+	if cst.Read == 0 || cst.Appended == 0 || cst.Created == 0 || cst.Deleted == 0 || cst.BytesRead == 0 {
+		t.Fatalf("trap run exercised too little: %+v", cst)
 	}
 
-	cst, ccalls := classic()
-	for _, batch := range []int{1, 64, 512} {
-		rst, rcalls := ringed(batch)
-		if rst != cst {
-			t.Errorf("batch %d: stats diverge: classic %+v, ring %+v", batch, cst, rst)
-		}
-		if batch >= 64 && rcalls*10 > ccalls {
-			t.Errorf("batch %d: %d crossings vs classic %d — want >=10x reduction", batch, rcalls, ccalls)
-		}
+	cases := []struct {
+		name  string
+		batch int // ring batch; 0 for Cosy
+	}{{"cosy", 0}, {"ring1", 1}, {"ring64", 64}, {"ring512", 512}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st, calls := run(func(s *core.System, pr *sys.Proc) (PostMarkStats, error) {
+				if tc.batch == 0 {
+					return PostMarkCosy(pr, s.CosyEngine(kext.ModeDataSeg), cfg)
+				}
+				return PostMarkRing(pr, cfg, tc.batch)
+			})
+			if st != cst {
+				t.Errorf("stats diverge: trap %+v, %s %+v", cst, tc.name, st)
+			}
+			if tc.batch >= 64 && calls*10 > ccalls {
+				t.Errorf("%d crossings vs trap %d: want >=10x reduction", calls, ccalls)
+			}
+		})
 	}
 }
 

@@ -21,6 +21,9 @@ func newSys(t *testing.T, opts core.Options) *core.System {
 	return s
 }
 
+// dbSize is the table's size in bytes: what a full sequential scan reads.
+func dbSize(cfg DBConfig) int64 { return int64(cfg.Records) * int64(cfg.RecSize) }
+
 func TestPostMarkRuns(t *testing.T) {
 	s := newSys(t, core.Options{})
 	cfg := DefaultPostMark()
@@ -242,9 +245,15 @@ func TestDBScansAgree(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		// Lookups is not a multiple of RandBatch, so the batched scan
+		// also runs a short tail batch.
+		randB, err := RandScanCosyBatched(pr, e, cfg)
+		if err != nil {
+			return err
+		}
 		want := int64(cfg.Lookups * cfg.RecSize)
-		if randU != want || randC != want {
-			t.Errorf("rand scans: user=%d cosy=%d want %d", randU, randC, want)
+		if randU != want || randC != want || randB != randC {
+			t.Errorf("rand scans: user=%d cosy=%d batched=%d want %d", randU, randC, randB, want)
 		}
 		return nil
 	})

@@ -290,12 +290,15 @@ func (s *System) Spawn(name string, fn func(pr *sys.Proc) error) *kernel.Process
 func (s *System) Run() error { return s.M.Run() }
 
 // EnableTrace installs a syscall recorder and returns it. The
-// recorder is added to the kernel's hook fan-out, so it composes with
-// any other observers already attached.
+// recorder is attached as a syscall exit tap, so it composes with any
+// other observers already attached.
 func (s *System) EnableTrace() *trace.Recorder {
-	s.Rec = trace.NewRecorder(&s.M.Clock)
-	s.K.AddHook(s.Rec)
-	return s.Rec
+	rec := trace.NewRecorder(&s.M.Clock)
+	s.K.AddExitTap(func(p *kernel.Process, nr sys.Nr, in, out int, _ sim.Cycles) {
+		rec.Syscall(p.PID, nr, in, out)
+	})
+	s.Rec = rec
+	return rec
 }
 
 // InstrumentDcache attaches the event monitor to the dcache lock, the

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
+	"repro/internal/sim"
 	"repro/internal/sys"
 )
 
@@ -141,10 +143,11 @@ func TestKlogEntriesCarrySpanIDs(t *testing.T) {
 // countingHook records syscall fan-out deliveries.
 type countingHook struct{ calls int }
 
-func (h *countingHook) Syscall(pid int, nr sys.Nr, in, out int) { h.calls++ }
+func (h *countingHook) tap(*kernel.Process, sys.Nr, int, int, sim.Cycles) { h.calls++ }
 
-// TestHookFanOut checks satellite 2: multiple observers attach to the
-// syscall layer at once and each sees every completed call.
+// TestHookFanOut checks that several exit taps attach to the syscall
+// layer at once, the trace recorder among them, and each sees every
+// completed call.
 func TestHookFanOut(t *testing.T) {
 	s, err := New(Options{})
 	if err != nil {
@@ -152,11 +155,8 @@ func TestHookFanOut(t *testing.T) {
 	}
 	rec := s.EnableTrace()
 	h1, h2 := &countingHook{}, &countingHook{}
-	s.K.AddHook(h1)
-	s.K.AddHook(h2)
-	if got := s.K.Hooks(); got != 3 {
-		t.Fatalf("Hooks() = %d, want 3", got)
-	}
+	s.K.AddExitTap(h1.tap)
+	s.K.AddExitTap(h2.tap)
 	s.Spawn("calls", func(pr *sys.Proc) error {
 		for i := 0; i < 5; i++ {
 			pr.Getpid()
@@ -171,6 +171,9 @@ func TestHookFanOut(t *testing.T) {
 	}
 	if int64(h1.calls) != rec.TotalCalls() {
 		t.Errorf("hook saw %d calls, recorder saw %d", h1.calls, rec.TotalCalls())
+	}
+	if got := rec.Calls(sys.NrGetpid); got != 5 {
+		t.Errorf("recorder saw %d getpid calls, want 5", got)
 	}
 }
 

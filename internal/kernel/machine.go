@@ -146,66 +146,38 @@ func New(cfg Config) *Machine {
 	// the seam must exist even on machines booted without Perf.
 	m.KAS.FaultProbe = func(f *mem.Fault) {
 		if p := m.current; p != nil {
-			p.Perf.Fault(m.Clock.Now(), f.Guard, f.Access == mem.AccessWrite)
-			if f.Guard {
-				m.FlightEvent(FlightTrap, fmt.Sprintf("guard fault in %s-%d at %#x", p.Name, p.PID, f.Addr))
-			}
-			m.probeFault(p, f)
+			m.fault(p, f)
 		}
 	}
 	return m
 }
 
-// probeFault dispatches the page-fault tracepoint and charges the
-// probe cost to the faulting process as kernel time under the probe
-// subsystem.
-func (m *Machine) probeFault(p *Process, f *mem.Fault) {
-	if m.Tap == nil {
-		return
+// fault reports a handled page fault taken in p's context, in either
+// address space: the kperf fault instant, a flight event for guard
+// faults, and the kprobe tracepoint, whose cost p pays as kernel time
+// under the probe subsystem.
+func (m *Machine) fault(p *Process, f *mem.Fault) {
+	write := f.Access == mem.AccessWrite
+	p.Perf.Fault(m.Clock.Now(), f.Guard, write)
+	if f.Guard {
+		m.FlightEvent(FlightTrap, fmt.Sprintf("guard fault in %s-%d at %#x", p.Name, p.PID, f.Addr))
 	}
-	if c := m.Tap.Fault(p, f.Guard, f.Access == mem.AccessWrite); c > 0 {
-		p.Perf.Push(kperf.SubProbe)
-		p.ChargeSys(c)
-		p.Perf.Pop()
-	}
-}
-
-// probeDiskWait dispatches the disk-wait tracepoint when a process
-// wakes from blocking on disk.
-func (m *Machine) probeDiskWait(p *Process, d sim.Cycles) {
-	if m.Tap == nil {
-		return
-	}
-	if c := m.Tap.DiskWait(p, d); c > 0 {
-		p.Perf.Push(kperf.SubProbe)
-		p.ChargeSys(c)
-		p.Perf.Pop()
+	if m.Tap != nil {
+		if c := m.Tap.Fault(p, f.Guard, write); c > 0 {
+			p.ChargeAs(kperf.SubProbe, c, true)
+		}
 	}
 }
 
-// chargeCurrent attributes cycles from subsystems (MMU, allocators) to
-// whatever process is running, in its current mode; charges with no
+// ChargeTagged returns a charge function for subsystems (MMU,
+// allocators) that attributes through the current process, in its
+// current mode, under the given kperf subsystem tag. Charges with no
 // current process (machine setup) advance the clock as system time of
 // nobody.
-func (m *Machine) chargeCurrent(c sim.Cycles) {
-	if p := m.current; p != nil {
-		p.Charge(c)
-		return
-	}
-	m.Perf.OnSetup(c)
-	m.Clock.Advance(c)
-}
-
-// ChargeTagged returns a charge function that attributes through the
-// current process with the given kperf subsystem tag. The charge
-// itself is identical to chargeCurrent — the tag only routes the
-// cycles to the right attribution cell.
 func (m *Machine) ChargeTagged(sub kperf.Subsys) func(sim.Cycles) {
 	return func(c sim.Cycles) {
 		if p := m.current; p != nil {
-			p.Perf.Push(sub)
-			p.Charge(c)
-			p.Perf.Pop()
+			p.ChargeAs(sub, c, false)
 			return
 		}
 		m.Perf.OnSetup(c)
@@ -225,28 +197,15 @@ func (m *Machine) Spawn(name string, fn func(*Process) error) *Process {
 		PID:    m.nextPID,
 		Name:   name,
 		resume: make(chan struct{}),
-		yield:  make(chan yieldKind),
+		yield:  make(chan struct{}),
 		state:  stateReady,
 		bonus:  defaultBonus,
 	}
 	m.nextPID++
 	p.UAS = mem.NewAddressSpace(fmt.Sprintf("user-%s-%d", name, p.PID), m.Phys, &m.Costs)
-	p.UAS.Charge = p.Charge
-	if m.Perf != nil {
-		p.Perf = m.Perf.NewProc(p.PID, name)
-		p.UAS.Charge = func(c sim.Cycles) {
-			p.Perf.Push(kperf.SubMem)
-			p.Charge(c)
-			p.Perf.Pop()
-		}
-	}
-	p.UAS.FaultProbe = func(f *mem.Fault) {
-		p.Perf.Fault(m.Clock.Now(), f.Guard, f.Access == mem.AccessWrite)
-		if f.Guard {
-			m.FlightEvent(FlightTrap, fmt.Sprintf("guard fault in %s-%d at %#x", p.Name, p.PID, f.Addr))
-		}
-		m.probeFault(p, f)
-	}
+	p.Perf = m.Perf.NewProc(p.PID, name)
+	p.UAS.Charge = func(c sim.Cycles) { p.ChargeAs(kperf.SubMem, c, false) }
+	p.UAS.FaultProbe = func(f *mem.Fault) { m.fault(p, f) }
 	m.procs[p.PID] = p
 	m.ready.PushBack(p)
 	go p.top(fn)
@@ -302,25 +261,19 @@ func (m *Machine) Run() error {
 // dispatch switches to p and runs it until it yields.
 func (m *Machine) dispatch(p *Process) {
 	if m.lastRun != p && m.lastRun != nil {
+		// Scheduler context: the switch and its probe bill the
+		// incoming process's system time through account alone
+		// (ChargeSys would preempt here).
 		m.CtxSwitches++
-		m.Clock.Advance(m.Costs.CtxSwitch)
-		p.sysCycles += m.Costs.CtxSwitch
 		p.Perf.Push(kperf.SubSched)
-		p.Perf.OnCycles(m.Costs.CtxSwitch, true)
-		m.traceCharge(p, m.Costs.CtxSwitch, true)
+		p.account(m.Costs.CtxSwitch, true)
 		p.Perf.Pop()
 		p.UAS.TLBFlush()
 		m.KAS.TLBFlush()
 		if m.Tap != nil {
-			// Scheduler context: charge like the switch itself —
-			// advance the clock and bill the incoming process's
-			// system time directly (ChargeSys would preempt here).
 			if c := m.Tap.CtxSwitch(p); c > 0 {
-				m.Clock.Advance(c)
-				p.sysCycles += c
 				p.Perf.Push(kperf.SubProbe)
-				p.Perf.OnCycles(c, true)
-				m.traceCharge(p, c, true)
+				p.account(c, true)
 				p.Perf.Pop()
 			}
 		}

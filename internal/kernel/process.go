@@ -18,14 +18,6 @@ const (
 	stateDone
 )
 
-type yieldKind int
-
-const (
-	yPreempted yieldKind = iota
-	yBlocked
-	yDone
-)
-
 // ErrKilled is wrapped by the error of a process terminated by Kill
 // (e.g. the Cosy watchdog).
 var ErrKilled = errors.New("kernel: process killed")
@@ -72,7 +64,7 @@ type Process struct {
 	sliceLeft sim.Cycles
 	state     procState
 	resume    chan struct{}
-	yield     chan yieldKind
+	yield     chan struct{}
 	err       error
 }
 
@@ -94,7 +86,7 @@ func (p *Process) top(fn func(*Process) error) {
 		p.err = fn(p)
 	}()
 	p.state = stateDone
-	p.yield <- yDone
+	p.yield <- struct{}{}
 }
 
 // Err returns the process's exit error. Valid after Run completes.
@@ -140,15 +132,10 @@ func (p *Process) Charge(c sim.Cycles) {
 		if step > p.sliceLeft {
 			step = p.sliceLeft
 		}
-		p.M.Clock.Advance(step)
+		p.account(step, p.inKernel > 0)
 		if p.inKernel > 0 {
-			p.sysCycles += step
 			p.kernelStreak += step
-		} else {
-			p.userCycles += step
 		}
-		p.Perf.OnCycles(step, p.inKernel > 0)
-		p.M.traceCharge(p, step, p.inKernel > 0)
 		p.sliceLeft -= step
 		c -= step
 		if p.sliceLeft == 0 {
@@ -169,10 +156,7 @@ func (p *Process) ChargeUser(c sim.Cycles) {
 // ChargeSys charges kernel-mode time regardless of current mode
 // (interrupt-style accounting).
 func (p *Process) ChargeSys(c sim.Cycles) {
-	p.M.Clock.Advance(c)
-	p.sysCycles += c
-	p.Perf.OnCycles(c, true)
-	p.M.traceCharge(p, c, true)
+	p.account(c, true)
 	if p.inKernel > 0 {
 		p.kernelStreak += c
 	}
@@ -180,6 +164,40 @@ func (p *Process) ChargeSys(c sim.Cycles) {
 	if p.sliceLeft <= 0 {
 		p.sliceLeft = 0
 		p.preemptPoint()
+	}
+}
+
+// ChargeAs is Charge — or ChargeSys when sys is set — under the kperf
+// subsystem tag sub, so the cycles land in that subsystem's attribution
+// cell and the tracer sees the same tag.
+func (p *Process) ChargeAs(sub kperf.Subsys, c sim.Cycles, sys bool) {
+	p.Perf.Push(sub)
+	if sys {
+		p.ChargeSys(c)
+	} else {
+		p.Charge(c)
+	}
+	p.Perf.Pop()
+}
+
+// account is the one place a process is billed for CPU time: it
+// advances the clock by c, adds c to the user or system bucket, and
+// reports the charge to kperf and the tracer. kernelMode is the mode
+// the charge is attributed in (ChargeSys forces kernel mode even
+// outside a syscall); the tracer's subsystem is read off the live kperf
+// tag stack, so its classification can never drift from the
+// attribution's. Slice and kernel-streak bookkeeping stay with the
+// callers, since scheduler-context charges touch neither.
+func (p *Process) account(c sim.Cycles, kernelMode bool) {
+	p.M.Clock.Advance(c)
+	if kernelMode {
+		p.sysCycles += c
+	} else {
+		p.userCycles += c
+	}
+	p.Perf.OnCycles(c, kernelMode)
+	if t := p.M.Trace; t != nil {
+		t.OnCharge(p.PID, c, kernelMode, p.Perf.CurrentSub(kernelMode))
 	}
 }
 
@@ -212,12 +230,7 @@ func (p *Process) preemptPoint() {
 	}
 	p.M.deliverDue()
 	if p.M.runnableOthers() {
-		p.state = stateReady
-		p.M.traceReady(p)
-		p.yield <- yPreempted
-		<-p.resume
-		p.state = stateRunning
-		p.M.traceRun(p)
+		p.switchOut(stateReady, kperf.SubKern)
 	}
 	p.sliceLeft = p.sliceLen()
 }
@@ -230,13 +243,25 @@ func (p *Process) Yield() {
 	if !p.M.runnableOthers() {
 		return
 	}
-	p.state = stateReady
-	p.M.traceReady(p)
-	p.yield <- yPreempted
+	p.switchOut(stateReady, kperf.SubKern)
+	p.sliceLeft = p.sliceLen()
+}
+
+// switchOut gives up the CPU: p becomes ready (preempted or yielding)
+// or blocked waiting on sub (read only for stateBlocked), the tracer
+// hears which, and control goes back to the scheduler. It returns once
+// p has been dispatched again.
+func (p *Process) switchOut(state procState, sub kperf.Subsys) {
+	p.state = state
+	if state == stateBlocked {
+		p.M.traceBlock(p, sub)
+	} else {
+		p.M.traceReady(p)
+	}
+	p.yield <- struct{}{}
 	<-p.resume
 	p.state = stateRunning
 	p.M.traceRun(p)
-	p.sliceLeft = p.sliceLen()
 }
 
 // BlockFor suspends the process for d cycles of simulated I/O or
@@ -257,12 +282,7 @@ func (p *Process) BlockOn(sub kperf.Subsys, d sim.Cycles) {
 	wake := p.M.Clock.Now() + d
 	p.M.addEvent(wake, p)
 	start := p.M.Clock.Now()
-	p.state = stateBlocked
-	p.M.traceBlock(p, sub)
-	p.yield <- yBlocked
-	<-p.resume
-	p.state = stateRunning
-	p.M.traceRun(p)
+	p.switchOut(stateBlocked, sub)
 	// Sleeper boost: voluntary blocking earns priority.
 	p.bonus += 2
 	if p.bonus > maxBonus {
@@ -271,8 +291,10 @@ func (p *Process) BlockOn(sub kperf.Subsys, d sim.Cycles) {
 	p.sliceLeft = p.sliceLen()
 	p.waitCycles += p.M.Clock.Now() - start
 	p.Perf.BlockSpan(sub, start, p.M.Clock.Now())
-	if sub == kperf.SubDisk {
-		p.M.probeDiskWait(p, p.M.Clock.Now()-start)
+	if sub == kperf.SubDisk && p.M.Tap != nil {
+		if c := p.M.Tap.DiskWait(p, p.M.Clock.Now()-start); c > 0 {
+			p.ChargeAs(kperf.SubProbe, c, true)
+		}
 	}
 }
 

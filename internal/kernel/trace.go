@@ -35,17 +35,6 @@ type TraceHook interface {
 	OnRun(pid int, at sim.Cycles)
 }
 
-// traceCharge reports a cycle charge to the tracer. kernelMode is the
-// mode the charge was attributed in (ChargeSys forces kernel mode even
-// outside a syscall), and the subsystem is read off the process's live
-// kperf tag stack so the tracer's classification can never drift from
-// the attribution's.
-func (m *Machine) traceCharge(p *Process, c sim.Cycles, kernelMode bool) {
-	if m.Trace != nil {
-		m.Trace.OnCharge(p.PID, c, kernelMode, p.Perf.CurrentSub(kernelMode))
-	}
-}
-
 // traceBlock reports that p is about to block waiting on sub.
 func (m *Machine) traceBlock(p *Process, sub kperf.Subsys) {
 	if m.Trace != nil {

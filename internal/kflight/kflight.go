@@ -436,10 +436,14 @@ func (r *Recorder) closeEpoch(now sim.Cycles) {
 			prev = make([]int64, len(r.scratch))
 			r.prevAttr[ps] = prev
 		}
+		label := "" // formatted once, on the process's first changed cell
 		for cell, v := range r.scratch {
 			if d := v - prev[cell]; d != 0 {
+				if label == "" {
+					label = ps.Label()
+				}
 				e.Attr = append(e.Attr, AttrDelta{
-					Process: ps.Label(),
+					Process: label,
 					Mode:    kperf.Mode(cell / kperf.NSubsys).String(),
 					Subsys:  kperf.Subsys(cell % kperf.NSubsys).String(),
 					Cycles:  d,

@@ -138,20 +138,18 @@ func (mon *Monitor) Register(cb Callback) {
 // context, including the simulated equivalent of interrupt handlers.
 func (mon *Monitor) LogEvent(p *kernel.Process, obj uint64, typ EventType, file FileID, line int32) {
 	c := &mon.M.Costs
-	p.Perf.Push(kperf.SubMon)
-	p.ChargeSys(c.EventDispatch)
+	p.ChargeAs(kperf.SubMon, c.EventDispatch, true)
 	mon.Logged++
 	ev := Event{Obj: obj, Type: typ, File: file, Line: line, Time: mon.M.Clock.Now()}
 	for _, cb := range mon.callbacks {
-		p.ChargeSys(c.EventCallback)
+		p.ChargeAs(kperf.SubMon, c.EventCallback, true)
 		cb(ev)
 	}
 	if mon.RingEnabled {
-		p.ChargeSys(c.EventEnqueue)
+		p.ChargeAs(kperf.SubMon, c.EventEnqueue, true)
 		mon.Ring.TryPush(ev)
 		mon.Enqueued++
 	}
-	p.Perf.Pop()
 }
 
 // AttachSpinLock instruments a kernel spinlock so every acquire and

@@ -1,9 +1,6 @@
 package sys
 
-import (
-	"repro/internal/sim"
-	"repro/internal/vfs"
-)
+import "repro/internal/vfs"
 
 // Open flags.
 const (
@@ -307,9 +304,4 @@ func (pr *Proc) Getpid() int {
 	a := Args{}
 	pid, _ := bodyGetpid(pr, &a)
 	return int(pid)
-}
-
-// chargeKernelCopy accounts a kernel-internal copy of n bytes.
-func (pr *Proc) chargeKernelCopy(n int) {
-	pr.P.Charge(sim.Cycles(n) * pr.K.M.Costs.CopyKernByte)
 }

@@ -131,17 +131,6 @@ func (k *Kernel) KuExt(id int) (*KuExt, bool) {
 	return e, ok
 }
 
-// chargeKu bills kucode work to the process as kernel time tagged
-// with the kucode subsystem, recording the slice as a ktrace exec
-// span under the current request.
-func (pr *Proc) chargeKu(c sim.Cycles) {
-	start := pr.K.M.Clock.Now()
-	pr.P.Perf.Push(kperf.SubKu)
-	pr.P.Charge(c)
-	pr.P.Perf.Pop()
-	pr.K.Ktrace.ExecSpan(pr.P.PID, kperf.SubKu, start, pr.K.M.Clock.Now())
-}
-
 // KuLoad is the ku_load system call: copy the extension source in,
 // compile + analyze + instrument it kernel-side, and install it. Load
 // time charges a per-instruction static-analysis cost (the same rate
@@ -159,7 +148,7 @@ func (pr *Proc) KuLoad(spec KuSpec) (int, error) {
 	pr.enter(NrKuLoad, in)
 	id, cost, err := pr.K.ku().load(pr.K, spec)
 	if cost > 0 {
-		pr.chargeKu(cost)
+		pr.chargeExec(kperf.SubKu, cost)
 	}
 	pr.exit(NrKuLoad, in, 8)
 	if err != nil {
@@ -427,7 +416,7 @@ func (pr *Proc) kuInvoke(id int, args ...int64) (int64, error) {
 		ku.pending = 0
 		e.Cycles += cost
 		if cost > 0 {
-			pr.chargeKu(cost)
+			pr.chargeExec(kperf.SubKu, cost)
 		}
 	}
 	return ret, err

@@ -50,24 +50,20 @@ type Kernel struct {
 	// first ku_load.
 	Ku *kuState
 
-	// hooks fan out every completed syscall to the registered
-	// observers (trace recorder, monitors); see AddHook.
-	hooks []Hook
-
-	// exitTaps observe syscall completion from kernel context with
-	// the span duration, before the kernel->user return. Unlike
-	// hooks, a tap runs while the syscall is still open, so charges
-	// it makes (e.g. kmon event dispatch) attribute inside the
-	// syscall's kperf slot — the seam E9's streaming bridge uses.
+	// exitTaps observe every completed syscall; see AddExitTap.
 	exitTaps []ExitTap
 }
 
 // ExitTap observes one completed syscall in kernel context: the
 // process, the call, the boundary byte counts, and the span duration
-// in cycles.
+// in cycles. A tap runs after copyout, while the syscall is still
+// open, so charges it makes (e.g. kmon event dispatch) attribute
+// inside the syscall's kperf slot.
 type ExitTap func(p *kernel.Process, nr Nr, in, out int, dur sim.Cycles)
 
-// AddExitTap registers a kernel-context syscall-completion observer.
+// AddExitTap registers a syscall-completion observer. Taps run in
+// registration order after each syscall; any number may be attached
+// (the trace recorder, event monitors, E9's streaming bridge).
 func (k *Kernel) AddExitTap(t ExitTap) {
 	k.exitTaps = append(k.exitTaps, t)
 }
@@ -76,16 +72,6 @@ func (k *Kernel) AddExitTap(t ExitTap) {
 func NewKernel(m *kernel.Machine, ns *vfs.Namespace) *Kernel {
 	return &Kernel{M: m, NS: ns}
 }
-
-// AddHook registers a syscall observer. Hooks run in registration
-// order after each syscall completes; any number may be attached
-// concurrently (tracer, kperf taps, event monitors).
-func (k *Kernel) AddHook(h Hook) {
-	k.hooks = append(k.hooks, h)
-}
-
-// Hooks reports the number of registered syscall observers.
-func (k *Kernel) Hooks() int { return len(k.hooks) }
 
 // TotalCalls reports the total number of system calls served.
 func (k *Kernel) TotalCalls() int64 {
@@ -212,37 +198,33 @@ func (pr *Proc) enter(nr Nr, in int) {
 	pr.K.Calls[nr]++
 	if pr.K.Probes != nil {
 		if cost := pr.K.Probes.SyscallEnter(pr.P.PID, int(nr), in); cost > 0 {
-			pr.chargeProbe(cost)
+			pr.chargeExec(kperf.SubProbe, cost)
 		}
 	}
 }
 
-// chargeProbe bills probe-program execution to the process as kernel
-// time tagged with the probe subsystem: observer overhead is itself a
-// measured, attributable quantity. The execution slice is also
-// recorded as a ktrace exec span under the current request.
-func (pr *Proc) chargeProbe(c sim.Cycles) {
+// chargeExec bills in-kernel program execution — kprobe programs
+// (SubProbe) or kucode extensions (SubKu) — to the process under that
+// subsystem tag: observer and extension overhead are measured,
+// attributable quantities. The slice is also recorded as a ktrace exec
+// span under the current request.
+func (pr *Proc) chargeExec(sub kperf.Subsys, c sim.Cycles) {
 	start := pr.K.M.Clock.Now()
-	pr.P.Perf.Push(kperf.SubProbe)
-	pr.P.Charge(c)
-	pr.P.Perf.Pop()
-	pr.K.Ktrace.ExecSpan(pr.P.PID, kperf.SubProbe, start, pr.K.M.Clock.Now())
+	pr.P.ChargeAs(sub, c, false)
+	pr.K.Ktrace.ExecSpan(pr.P.PID, sub, start, pr.K.M.Clock.Now())
 }
 
 // exit performs the kernel->user transition, charging copyout for
-// out bytes and notifying the trace hook.
+// out bytes and notifying the exit taps.
 func (pr *Proc) exit(nr Nr, in, out int) {
-	c := &pr.K.M.Costs
 	if out > 0 {
-		pr.P.Perf.Push(kperf.SubBoundary)
-		pr.P.Charge(sim.Cycles(out) * c.CopyUserByte)
-		pr.P.Perf.Pop()
+		pr.P.ChargeAs(kperf.SubBoundary, sim.Cycles(out)*pr.K.M.Costs.CopyUserByte, false)
 		pr.K.BytesOut += int64(out)
 	}
 	dur := pr.K.M.Clock.Now() - pr.lastEnter
 	if pr.K.Probes != nil {
 		if cost := pr.K.Probes.SyscallExit(pr.P.PID, int(nr), in, out, dur); cost > 0 {
-			pr.chargeProbe(cost)
+			pr.chargeExec(kperf.SubProbe, cost)
 		}
 	}
 	for _, t := range pr.K.exitTaps {
@@ -251,9 +233,6 @@ func (pr *Proc) exit(nr Nr, in, out int) {
 	pr.P.ExitKernel()
 	pr.P.Perf.SyscallExit(pr.K.M.Clock.Now())
 	pr.K.Ktrace.SyscallExit(pr.P.PID)
-	for _, h := range pr.K.hooks {
-		h.Syscall(pr.P.PID, nr, in, out)
-	}
 }
 
 // installFD grabs the lowest free descriptor.

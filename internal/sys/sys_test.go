@@ -450,7 +450,7 @@ type recHook struct {
 	out   int
 }
 
-func (h *recHook) Syscall(pid int, nr Nr, in, out int) {
+func (h *recHook) tap(p *kernel.Process, nr Nr, in, out int, dur sim.Cycles) {
 	h.calls = append(h.calls, nr)
 	h.in += in
 	h.out += out
@@ -459,7 +459,7 @@ func (h *recHook) Syscall(pid int, nr Nr, in, out int) {
 func TestHookObservesCalls(t *testing.T) {
 	m, k := env()
 	h := &recHook{}
-	k.AddHook(h)
+	k.AddExitTap(h.tap)
 	run(t, m, k, func(pr *Proc) error {
 		fd, _ := pr.Creat("/f")
 		_ = pr.Close(fd)

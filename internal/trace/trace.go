@@ -1,7 +1,7 @@
 // Package trace implements the paper's system-call logging and
-// analysis pipeline (§2.2): an strace/audit-style recorder plugged
-// into the syscall layer's hook, the weighted system-call graph built
-// from consecutive-call transitions, frequent-sequence mining, and
+// analysis pipeline (§2.2): an strace/audit-style recorder attached
+// to the syscall layer as an exit tap, the weighted system-call graph
+// built from consecutive-call transitions, frequent-sequence mining, and
 // the consolidation-savings estimator used for the paper's
 // "28.15 seconds per hour" projection.
 package trace
@@ -22,7 +22,8 @@ type Event struct {
 	In, Out int
 }
 
-// Recorder captures syscall activity. It implements sys.Hook.
+// Recorder captures syscall activity; core.EnableTrace attaches it to
+// the syscall layer as an exit tap.
 type Recorder struct {
 	clock *sim.Clock
 
@@ -51,7 +52,8 @@ func NewRecorder(clock *sim.Clock) *Recorder {
 	}
 }
 
-// Syscall implements sys.Hook.
+// Syscall records one completed call: in and out are the bytes
+// copied across the boundary in each direction.
 func (r *Recorder) Syscall(pid int, nr sys.Nr, in, out int) {
 	t := r.clock.Now()
 	if !r.any {
